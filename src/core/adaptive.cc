@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "obs/event_log.hh"
+#include "obs/trace_context.hh"
 #include "obs/trace_span.hh"
 #include "sampling/sample_gen.hh"
 #include "tree/regression_tree.hh"
@@ -21,6 +22,8 @@ AdaptiveSampler::AdaptiveSampler(dspace::DesignSpace train_space,
 AdaptiveResult
 AdaptiveSampler::build(const AdaptiveOptions &options)
 {
+    // Trace root of a local run, as in ModelBuilder::build.
+    obs::TraceRoot trace_root("adaptive.build");
     if (options.initial_size < 10)
         throw std::invalid_argument("AdaptiveOptions: initial_size");
     if (options.batch_size < 1)

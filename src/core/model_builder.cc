@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "linreg/model_selection.hh"
+#include "obs/trace_context.hh"
 #include "sampling/discrepancy.hh"
 #include "sampling/sample_gen.hh"
 
@@ -19,6 +20,10 @@ ModelBuilder::ModelBuilder(dspace::DesignSpace train_space,
 BuildResult
 ModelBuilder::build(const BuildOptions &options)
 {
+    // A local run is a trace root of its own: under PPM_TRACE_SAMPLE
+    // its spans reach the SpanBuffer (dumped via PPM_SPANS_OUT for
+    // `ppm_trace --in`). Tracing off, this is one relaxed load.
+    obs::TraceRoot trace_root("model_builder.build");
     if (options.sample_sizes.empty())
         throw std::invalid_argument("BuildOptions: empty size schedule");
     for (int size : options.sample_sizes)

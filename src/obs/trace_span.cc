@@ -1,118 +1,11 @@
 #include "obs/trace_span.hh"
 
-#include <cstdio>
-#include <cstdlib>
-
 namespace ppm::obs {
-
-ChromeTrace &
-ChromeTrace::instance()
-{
-    static ChromeTrace *trace = [] {
-        auto *instance = new ChromeTrace;
-        instance->configureFromEnv();
-        return instance;
-    }();
-    return *trace;
-}
-
-void
-ChromeTrace::configure(const std::string &path)
-{
-    bool flush_old = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        flush_old = !path_.empty() && !events_.empty();
-    }
-    if (flush_old)
-        flush();
-    std::lock_guard<std::mutex> lock(mutex_);
-    path_ = path;
-    events_.clear();
-    dropped_.store(0, std::memory_order_relaxed);
-    on_.store(!path_.empty(), std::memory_order_relaxed);
-    if (!path_.empty()) {
-        // One atexit registration per process: the final flush makes
-        // PPM_TRACE_OUT usable without any explicit shutdown call.
-        static const bool registered = [] {
-            std::atexit([] {
-                if (ChromeTrace::instance().enabled())
-                    ChromeTrace::instance().flush();
-            });
-            return true;
-        }();
-        (void)registered;
-    }
-}
-
-void
-ChromeTrace::configureFromEnv()
-{
-    const char *path = std::getenv("PPM_TRACE_OUT");
-    configure(path == nullptr ? "" : path);
-}
-
-void
-ChromeTrace::record(const char *name, std::uint64_t start_ns,
-                    std::uint64_t dur_ns)
-{
-    const unsigned tid = threadSlot();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (events_.size() < kMaxEvents) {
-            events_.push_back({name, start_ns, dur_ns, tid});
-            return;
-        }
-    }
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    // Surface the loss: a silent cap reads as "trace is complete".
-    static Counter &dropped_counter =
-        Registry::instance().counter("obs.trace.dropped");
-    dropped_counter.add(1);
-}
-
-void
-ChromeTrace::flush()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (path_.empty())
-        return;
-    std::FILE *out = std::fopen(path_.c_str(), "w");
-    if (out == nullptr)
-        return;
-    // Complete-event ("ph":"X") records; ts/dur in microseconds as
-    // the format requires. The file is rewritten whole on each flush
-    // so it is always a complete JSON document.
-    std::fputs("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", out);
-    bool first = true;
-    for (const Event &e : events_) {
-        std::fprintf(
-            out,
-            "%s\n{\"name\":\"%s\",\"cat\":\"ppm\",\"ph\":\"X\","
-            "\"pid\":1,\"tid\":%u,\"ts\":%.3f,\"dur\":%.3f}",
-            first ? "" : ",", e.name, e.tid,
-            static_cast<double>(e.start_ns) / 1e3,
-            static_cast<double>(e.dur_ns) / 1e3);
-        first = false;
-    }
-    // Footer note so a capped buffer is visible in the trace itself
-    // (otherData shows up in the Perfetto/chrome://tracing metadata
-    // pane) instead of silently truncating the timeline.
-    const std::uint64_t dropped =
-        dropped_.load(std::memory_order_relaxed);
-    std::fprintf(out,
-                 "\n],\"otherData\":{\"ppm_dropped_events\":\"%llu\","
-                 "\"ppm_buffered_events\":\"%zu\"}}\n",
-                 static_cast<unsigned long long>(dropped),
-                 events_.size());
-    std::fclose(out);
-}
 
 void
 reconfigureFromEnv()
 {
     EventLog::instance().configureFromEnv();
-    ChromeTrace::instance().configureFromEnv();
     traceConfigureFromEnv();
 }
 

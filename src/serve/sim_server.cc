@@ -426,13 +426,10 @@ SimServer::serveConnection(int fd)
             break;
         }
 
-        // The requester's trace context rides the v4 header: install
-        // it so every span this request touches (cache, RBF kernel,
-        // nested oracles) joins the distributed trace. The reply is
-        // encoded in the requester's wire version, so a v3 poller
-        // gets v3 frames back from a v4 server.
+        // The requester's trace context rides the frame header:
+        // install it so every span this request touches (cache, RBF
+        // kernel, nested oracles) joins the distributed trace.
         obs::ScopedTraceContext trace_scope(frame.trace);
-        ScopedWireVersion wire_version(frame.version);
         const std::uint64_t slo_start = obs::monotonicNs();
 
         std::vector<std::uint8_t> reply;

@@ -370,10 +370,8 @@ readFrame(int fd, int timeout_ms)
     std::vector<std::uint8_t> buf(kHeaderSize);
     recvAll(fd, buf.data(), kHeaderSize, timeout_ms);
     const FrameHeader header = decodeHeader(buf.data(), buf.size());
-    // v4 frames carry a trace-context block between header and
-    // payload; the version in the validated header sizes it.
-    const std::size_t rest = traceBlockSize(header.version) +
-                             header.payload_len + kTrailerSize;
+    const std::size_t rest =
+        kTraceBlockSize + header.payload_len + kTrailerSize;
     buf.resize(kHeaderSize + rest);
     recvAll(fd, buf.data() + kHeaderSize, rest, timeout_ms);
     return decodeFrame(buf);

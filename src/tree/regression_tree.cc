@@ -1,12 +1,12 @@
 #include "tree/regression_tree.hh"
 
-#include "tree/flat_tree.hh"
-
 #include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace ppm::tree {
 
@@ -130,22 +130,6 @@ RegressionTree::RegressionTree(const std::vector<dspace::UnitPoint> &xs,
         queue.push_back({node->left.get(), std::move(left_idx)});
         queue.push_back({node->right.get(), std::move(right_idx)});
     }
-
-    flat_ = std::make_shared<const FlatTree>(*this);
-}
-
-std::vector<double>
-RegressionTree::predictBatch(
-    const std::vector<dspace::UnitPoint> &xs) const
-{
-    return flat_->predictBatch(xs);
-}
-
-std::vector<double>
-RegressionTree::leafStdBatch(
-    const std::vector<dspace::UnitPoint> &xs) const
-{
-    return flat_->leafStdBatch(xs);
 }
 
 RegressionTree::BestSplit
@@ -202,28 +186,36 @@ RegressionTree::findBestSplit(const std::vector<std::size_t> &indices,
     return best;
 }
 
-double
-RegressionTree::predict(const dspace::UnitPoint &x) const
+const RegressionTree::Node &
+RegressionTree::leafFor(const dspace::UnitPoint &x,
+                        const char *caller) const
 {
-    assert(x.size() == dims_);
+    // Checked unconditionally (not just assert): a short point would
+    // read x[split_param] out of bounds in release builds. Typed to
+    // match RbfNetwork::predict so callers report both the same way.
+    if (x.size() != dims_)
+        throw std::invalid_argument(
+            std::string("tree::RegressionTree::") + caller +
+            ": point has " + std::to_string(x.size()) +
+            " dimensions, tree has " + std::to_string(dims_));
     const Node *node = root_.get();
     while (!node->isLeaf()) {
         node = x[node->split_param] <= node->split_value
             ? node->left.get() : node->right.get();
     }
-    return node->mean;
+    return *node;
+}
+
+double
+RegressionTree::predict(const dspace::UnitPoint &x) const
+{
+    return leafFor(x, "predict").mean;
 }
 
 double
 RegressionTree::leafStd(const dspace::UnitPoint &x) const
 {
-    assert(x.size() == dims_);
-    const Node *node = root_.get();
-    while (!node->isLeaf()) {
-        node = x[node->split_param] <= node->split_value
-            ? node->left.get() : node->right.get();
-    }
-    return node->stddev;
+    return leafFor(x, "leafStd").stddev;
 }
 
 std::vector<NodeInfo>

@@ -21,8 +21,6 @@
 
 namespace ppm::tree {
 
-class FlatTree;
-
 /**
  * Description of one tree node's region of the design space, exported
  * for RBF center generation and diagnostics. Coordinates are in unit
@@ -105,7 +103,8 @@ class RegressionTree
 
     /**
      * Predict the response at @p x: the mean of the leaf region
-     * containing it.
+     * containing it. Throws std::invalid_argument when @p x does not
+     * have dimensions() coordinates.
      */
     double predict(const dspace::UnitPoint &x) const;
 
@@ -113,27 +112,9 @@ class RegressionTree
      * Standard deviation of the training responses inside the leaf
      * region containing @p x (population convention; 0 for singleton
      * leaves). The adaptive sampler uses this as its
-     * response-variability proxy.
+     * response-variability proxy. Throws like predict().
      */
     double leafStd(const dspace::UnitPoint &x) const;
-
-    /**
-     * Batched predictions through the compiled level-order SoA plan
-     * (see flat_tree.hh); element i is bit-identical to
-     * predict(xs[i]).
-     */
-    std::vector<double> predictBatch(
-        const std::vector<dspace::UnitPoint> &xs) const;
-
-    /** Batched leafStd through the compiled plan. */
-    std::vector<double> leafStdBatch(
-        const std::vector<dspace::UnitPoint> &xs) const;
-
-    /**
-     * The flattened traversal plan compiled at construction time.
-     * Immutable and shared by copies; safe for concurrent readers.
-     */
-    const FlatTree &flat() const { return *flat_; }
 
     /**
      * All node regions in breadth-first order (root first). This is the
@@ -151,9 +132,6 @@ class RegressionTree
     const std::vector<SplitRecord> &splits() const { return splits_; }
 
   private:
-    /** FlatTree reads the pointer tree directly when flattening. */
-    friend class FlatTree;
-
     struct Node
     {
         dspace::UnitPoint lower;
@@ -186,6 +164,10 @@ class RegressionTree
                const std::vector<dspace::UnitPoint> &xs,
                const std::vector<double> &ys, int p_min);
 
+    /** The leaf whose region contains @p x (dimension-checked). */
+    const Node &leafFor(const dspace::UnitPoint &x,
+                        const char *caller) const;
+
     BestSplit findBestSplit(const std::vector<std::size_t> &indices,
                             const std::vector<dspace::UnitPoint> &xs,
                             const std::vector<double> &ys) const;
@@ -196,8 +178,6 @@ class RegressionTree
     std::size_t leaf_count_ = 0;
     int max_depth_ = 0;
     std::vector<SplitRecord> splits_;
-    /** Level-order SoA traversal plan, compiled once after build. */
-    std::shared_ptr<const FlatTree> flat_;
 };
 
 } // namespace ppm::tree

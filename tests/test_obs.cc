@@ -2,9 +2,10 @@
  * @file
  * Observability-layer suite: metric primitives are exact under
  * concurrency, snapshots taken mid-increment are sane, the JSONL
- * event log and Chrome trace emit well-formed JSON, and — the layer's
- * hard invariant — enabling logging and tracing perturbs no pipeline
- * result bit.
+ * event log and span dumps emit well-formed JSON, a local model build
+ * traced via PPM_TRACE_SAMPLE merges into a Chrome trace with the real
+ * ppm_trace binary, and — the layer's hard invariant — enabling
+ * logging and tracing perturbs no pipeline result bit.
  */
 
 #include <gtest/gtest.h>
@@ -22,14 +23,19 @@
 #include <thread>
 #include <vector>
 
+#include <spawn.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "core/adaptive.hh"
+#include "core/model_builder.hh"
 #include "dspace/paper_space.hh"
 #include "math/rng.hh"
 #include "obs/event_log.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_span.hh"
+
+extern char **environ;
 
 namespace {
 
@@ -615,45 +621,6 @@ TEST(ObsEventLog, DisabledLogIsSilent)
     log.write(LogLevel::Error, "test", "nowhere", {});
 }
 
-// --- Chrome trace -----------------------------------------------------
-
-TEST(ObsChromeTrace, EmitsValidTraceDocument)
-{
-    const std::string path = tempPath("trace");
-    ChromeTrace trace;
-    trace.configure(path);
-    ASSERT_TRUE(trace.enabled());
-    trace.record("alpha", 1000, 500);
-    trace.record("beta", 2000, 250);
-    trace.flush();
-    const std::string doc = slurp(path);
-    EXPECT_TRUE(JsonChecker(doc).valid()) << doc;
-    EXPECT_NE(doc.find("\"alpha\""), std::string::npos);
-    EXPECT_NE(doc.find("\"beta\""), std::string::npos);
-    EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
-    EXPECT_EQ(trace.dropped(), 0u);
-    trace.configure("");
-    std::remove(path.c_str());
-}
-
-TEST(ObsChromeTrace, FileIsCompleteAfterEveryFlush)
-{
-    const std::string path = tempPath("reflush");
-    ChromeTrace trace;
-    trace.configure(path);
-    trace.record("first", 0, 10);
-    trace.flush();
-    EXPECT_TRUE(JsonChecker(slurp(path)).valid());
-    trace.record("second", 20, 10);
-    trace.flush();
-    const std::string doc = slurp(path);
-    EXPECT_TRUE(JsonChecker(doc).valid()) << doc;
-    EXPECT_NE(doc.find("\"first\""), std::string::npos);
-    EXPECT_NE(doc.find("\"second\""), std::string::npos);
-    trace.configure("");
-    std::remove(path.c_str());
-}
-
 // --- the zero-perturbation invariant ----------------------------------
 
 double
@@ -711,28 +678,40 @@ expectBitIdentical(const core::AdaptiveResult &a,
     }
 }
 
+/** Set PPM_TRACE_SAMPLE (nullptr unsets) and re-read the env. */
+void
+setTraceSampleEnv(const char *every)
+{
+    if (every == nullptr)
+        unsetenv("PPM_TRACE_SAMPLE");
+    else
+        setenv("PPM_TRACE_SAMPLE", every, 1);
+    reconfigureFromEnv();
+}
+
 TEST(ObsZeroPerturbation, LoggingAndTracingChangeNoResultBit)
 {
     // Baseline: observability sinks disabled.
     unsetenv("PPM_LOG");
-    unsetenv("PPM_TRACE_OUT");
-    reconfigureFromEnv();
+    setTraceSampleEnv("0");
+    SpanBuffer::instance().clear();
     const core::AdaptiveResult off = runPipeline();
 
-    // Hot run: JSONL log at debug level plus Chrome tracing.
+    // Hot run: JSONL log at debug level plus every trace root sampled.
     const std::string log_path = tempPath("zp_log");
-    const std::string trace_path = tempPath("zp_trace");
+    const std::string spans_path = tempPath("zp_spans");
     setenv("PPM_LOG", log_path.c_str(), 1);
     setenv("PPM_LOG_LEVEL", "debug", 1);
-    setenv("PPM_TRACE_OUT", trace_path.c_str(), 1);
-    reconfigureFromEnv();
+    setTraceSampleEnv("1");
     const core::AdaptiveResult on = runPipeline();
 
-    // Sinks off again (also flushes the trace buffer to disk).
+    // Sinks off again; dump the spans the hot run buffered.
     unsetenv("PPM_LOG");
     unsetenv("PPM_LOG_LEVEL");
-    unsetenv("PPM_TRACE_OUT");
-    reconfigureFromEnv();
+    setTraceSampleEnv("0");
+    const bool dumped = SpanBuffer::instance().writeJsonl(spans_path);
+    SpanBuffer::instance().clear();
+    setTraceSampleEnv(nullptr);
 
     expectBitIdentical(off, on);
 
@@ -745,14 +724,64 @@ TEST(ObsZeroPerturbation, LoggingAndTracingChangeNoResultBit)
     std::string line;
     while (std::getline(lines, line))
         EXPECT_TRUE(JsonChecker(line).valid()) << line;
-    const std::string trace = slurp(trace_path);
-    EXPECT_FALSE(trace.empty());
-    EXPECT_TRUE(JsonChecker(trace).valid());
-    EXPECT_NE(trace.find("adaptive.refit"), std::string::npos);
+    ASSERT_TRUE(dumped);
+    const std::string spans = slurp(spans_path);
+    EXPECT_FALSE(spans.empty());
+    std::istringstream span_lines(spans);
+    while (std::getline(span_lines, line))
+        EXPECT_TRUE(JsonChecker(line).valid()) << line;
+    EXPECT_NE(spans.find("\"adaptive.refit\""), std::string::npos);
 #endif
     std::remove(log_path.c_str());
+    std::remove(spans_path.c_str());
+}
+
+#ifndef PPM_OBS_DISABLED
+TEST(ObsLocalTrace, PpmTraceMergesModelBuildSpans)
+{
+    // A local paper-loop run, traced without a rebuild: sample every
+    // root, dump the SpanBuffer, merge the dump with ppm_trace --in.
+    SpanBuffer::instance().clear();
+    setTraceSampleEnv("1");
+    {
+        core::FunctionOracle oracle(response);
+        core::ModelBuilder builder(dspace::paperTrainSpace(),
+                                   dspace::paperTestSpace(), oracle);
+        core::BuildOptions opts;
+        opts.sample_sizes = {20};
+        opts.lhs_candidates = 2;
+        opts.num_test_points = 10;
+        opts.trainer.p_min_grid = {1};
+        opts.trainer.alpha_grid = {4};
+        (void)builder.build(opts);
+    }
+    setTraceSampleEnv(nullptr);
+    const std::string spans_path = tempPath("local_spans");
+    const std::string trace_path = tempPath("local_trace");
+    ASSERT_TRUE(SpanBuffer::instance().writeJsonl(spans_path));
+    SpanBuffer::instance().clear();
+
+    const char *argv[] = {PPM_TRACE_BIN, "--in", spans_path.c_str(),
+                          "--out", trace_path.c_str(), nullptr};
+    pid_t pid = -1;
+    ASSERT_EQ(::posix_spawn(&pid, argv[0], nullptr, nullptr,
+                            const_cast<char *const *>(argv), environ),
+              0);
+    int status = -1;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "ppm_trace failed (status " << status << ")";
+
+    const std::string doc = slurp(trace_path);
+    EXPECT_TRUE(JsonChecker(doc).valid()) << doc;
+    EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
+    // The build's root span and the layers beneath it.
+    EXPECT_NE(doc.find("\"model_builder.build\""), std::string::npos);
+    EXPECT_NE(doc.find("\"rbf.grid_search\""), std::string::npos);
+    std::remove(spans_path.c_str());
     std::remove(trace_path.c_str());
 }
+#endif
 
 TEST(ObsZeroPerturbation, RepeatedRunsAreBitIdentical)
 {

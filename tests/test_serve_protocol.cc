@@ -14,8 +14,12 @@
 #include <limits>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/socket.h>
+
 #include "serve/protocol.hh"
 #include "serve/remote_oracle.hh"
+#include "serve/socket_io.hh"
 #include "util/crc32.hh"
 
 namespace {
@@ -115,6 +119,45 @@ TEST(ServeProtocol, RejectsVersionMismatch)
     auto bytes = encodePing(1);
     bytes[4] += 1; // version is bytes 4-5, little-endian
     EXPECT_THROW(decodeFrame(bytes), ProtocolError);
+}
+
+/**
+ * A well-formed v3 frame: today's header stamped version 3, no trace
+ * block, CRC over the payload alone — what a v3 peer would send.
+ */
+std::vector<std::uint8_t>
+wellFormedV3Ping(std::uint64_t nonce)
+{
+    std::vector<std::uint8_t> frame = encodePing(nonce);
+    frame[4] = 3; // version is bytes 4-5, little-endian
+    frame[5] = 0;
+    frame.erase(frame.begin() + kHeaderSize,
+                frame.begin() + kHeaderSize + kTraceBlockSize);
+    const std::size_t payload_len =
+        frame.size() - kHeaderSize - kTrailerSize;
+    const std::uint32_t crc =
+        util::crc32(frame.data() + kHeaderSize, payload_len);
+    for (int i = 0; i < 4; ++i)
+        frame[kHeaderSize + payload_len + static_cast<std::size_t>(i)] =
+            static_cast<std::uint8_t>(crc >> (8 * i));
+    return frame;
+}
+
+TEST(ServeProtocol, RejectsWellFormedV3Frame)
+{
+    // One wire version: a v3 frame is refused, not answered in kind.
+    const auto v3 = wellFormedV3Ping(9);
+    ASSERT_EQ(v3.size(), kHeaderSize + 8 + kTrailerSize);
+    EXPECT_THROW(decodeFrame(v3), ProtocolError);
+
+    // readFrame rejects it from the header alone, over a real socket.
+    int fds[2] = {-1, -1};
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    FdGuard a(fds[0]), b(fds[1]);
+    for (int fd : fds)
+        ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
+    sendAll(a.get(), v3.data(), v3.size(), 500);
+    EXPECT_THROW(readFrame(b.get(), 500), ProtocolError);
 }
 
 TEST(ServeProtocol, RejectsUnknownType)

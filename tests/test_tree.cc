@@ -11,7 +11,6 @@
 
 #include "dspace/design_space.hh"
 #include "math/rng.hh"
-#include "tree/flat_tree.hh"
 #include "tree/regression_tree.hh"
 #include "tree/split_report.hh"
 
@@ -342,58 +341,7 @@ TEST(SplitReport, TopNTruncates)
     EXPECT_EQ(significantSplits(t, space, 5).size(), 5u);
 }
 
-TEST(FlatTree, MirrorsTreeShape)
-{
-    math::Rng rng(71);
-    std::vector<dspace::UnitPoint> xs;
-    std::vector<double> ys;
-    for (int i = 0; i < 128; ++i) {
-        xs.push_back({rng.uniform(), rng.uniform(), rng.uniform()});
-        ys.push_back(std::sin(6.0 * xs.back()[0]) + xs.back()[1]);
-    }
-    const RegressionTree t(xs, ys, 4);
-    const FlatTree &f = t.flat();
-    EXPECT_EQ(f.nodeCount(), t.nodeCount());
-    EXPECT_EQ(f.dimensions(), t.dimensions());
-    EXPECT_EQ(f.depth(), t.depth());
-}
-
-TEST(FlatTree, SingleAndBatchedTraversalBitIdenticalToTree)
-{
-    math::Rng rng(72);
-    for (int p_min : {1, 4, 16, 200}) {
-        std::vector<dspace::UnitPoint> xs;
-        std::vector<double> ys;
-        for (int i = 0; i < 160; ++i) {
-            xs.push_back({rng.uniform(), rng.uniform()});
-            ys.push_back(std::cos(9.0 * xs.back()[0]) *
-                         xs.back()[1]);
-        }
-        const RegressionTree t(xs, ys, p_min);
-        const FlatTree &f = t.flat();
-
-        std::vector<dspace::UnitPoint> queries;
-        for (int i = 0; i < 300; ++i)
-            queries.push_back({rng.uniform(), rng.uniform()});
-        // Include training points: their coordinates sit exactly on
-        // split boundaries, exercising the tie-break (<=) branch.
-        queries.insert(queries.end(), xs.begin(), xs.end());
-
-        const auto means = t.predictBatch(queries);
-        const auto stds = t.leafStdBatch(queries);
-        ASSERT_EQ(means.size(), queries.size());
-        for (std::size_t i = 0; i < queries.size(); ++i) {
-            EXPECT_DOUBLE_EQ(means[i], t.predict(queries[i]));
-            EXPECT_DOUBLE_EQ(stds[i], t.leafStd(queries[i]));
-            EXPECT_DOUBLE_EQ(f.predict(queries[i]),
-                             t.predict(queries[i]));
-            EXPECT_DOUBLE_EQ(f.leafStd(queries[i]),
-                             t.leafStd(queries[i]));
-        }
-    }
-}
-
-TEST(FlatTree, BatchDimensionMismatchThrows)
+TEST(RegressionTree, DimensionMismatchThrows)
 {
     // Checked unconditionally (not assert-only): a short point would
     // read past its coordinates during the descent in release builds.
@@ -405,25 +353,24 @@ TEST(FlatTree, BatchDimensionMismatchThrows)
         ys.push_back(rng.uniform());
     }
     const RegressionTree t(xs, ys, 4);
-    EXPECT_THROW(t.predictBatch({{0.5}}), std::invalid_argument);
-    EXPECT_THROW(t.leafStdBatch({{0.1, 0.2, 0.3}}),
+    EXPECT_THROW((void)t.predict({0.5}), std::invalid_argument);
+    EXPECT_THROW((void)t.leafStd({0.1, 0.2, 0.3}),
                  std::invalid_argument);
-    // A mismatch anywhere in the batch is rejected before descent.
-    EXPECT_THROW(t.flat().predictBatch({{0.1, 0.2}, {0.5}}),
-                 std::invalid_argument);
-    EXPECT_NO_THROW(t.flat().leafStdBatch({{0.1, 0.2}}));
+    EXPECT_NO_THROW((void)t.predict({0.1, 0.2}));
+    EXPECT_NO_THROW((void)t.leafStd({0.1, 0.2}));
 }
 
-TEST(FlatTree, SingleNodeTree)
+TEST(RegressionTree, SingleNodeTree)
 {
     const std::vector<dspace::UnitPoint> xs = {{0.5}};
     const std::vector<double> ys = {3.0};
     const RegressionTree t(xs, ys, 1);
-    EXPECT_EQ(t.flat().nodeCount(), 1u);
-    const auto out = t.predictBatch({{0.1}, {0.9}});
-    EXPECT_DOUBLE_EQ(out[0], 3.0);
-    EXPECT_DOUBLE_EQ(out[1], 3.0);
-    EXPECT_TRUE(t.predictBatch({}).empty());
+    ASSERT_EQ(t.nodeCount(), 1u);
+    // Every query lands in the root leaf, on either side of the point.
+    EXPECT_DOUBLE_EQ(t.predict({0.1}), 3.0);
+    EXPECT_DOUBLE_EQ(t.predict({0.9}), 3.0);
+    EXPECT_DOUBLE_EQ(t.leafStd({0.1}), 0.0);
+    EXPECT_DOUBLE_EQ(t.leafStd({0.9}), 0.0);
 }
 
 } // namespace
