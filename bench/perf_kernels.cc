@@ -28,7 +28,6 @@
 #include "sampling/discrepancy.hh"
 #include "sampling/sample_gen.hh"
 #include "serve/model_snapshot.hh"
-#include "serve/predict_oracle.hh"
 #include "serve/remote_oracle.hh"
 #include "serve/sim_server.hh"
 #include "sim/simulator.hh"
@@ -245,12 +244,12 @@ BENCHMARK(BM_OracleBatchSharded)->Unit(benchmark::kMillisecond)
 
 /**
  * A PREDICT batch served end to end through the prediction plane
- * (argument = batch size): PredictOracle -> Unix socket -> SimServer
- * hosting a snapshot -> predictWithSnapshot -> response. Against
- * BM_RbfPrediction (the bare in-process kernel) this quantifies the
- * serving overhead — framing, CRC, syscalls — and how the batch size
- * amortizes it, which is the number that justifies shipping model
- * snapshots to a server instead of shipping simulators.
+ * (argument = batch size): a PREDICT RemoteOracle -> Unix socket ->
+ * SimServer hosting a snapshot -> predictWithSnapshot -> response.
+ * Against BM_RbfPrediction (the bare in-process kernel) this
+ * quantifies the serving overhead — framing, CRC, syscalls — and how
+ * the batch size amortizes it, which is the number that justifies
+ * shipping model snapshots to a server instead of shipping simulators.
  */
 void
 BM_PredictServe(benchmark::State &state)
@@ -300,7 +299,7 @@ BM_PredictServe(benchmark::State &state)
     remote_opts.sockets = {server_opts.socket_path};
     remote_opts.chunk_points = 64;
     remote_opts.max_connections = 2;
-    serve::PredictOracle oracle(snap, remote_opts);
+    serve::RemoteOracle oracle(snap, remote_opts);
 
     math::Rng rng(31);
     std::vector<dspace::DesignPoint> points;

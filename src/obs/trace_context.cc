@@ -79,10 +79,13 @@ setTraceSampleEvery(std::uint32_t every)
 void
 traceConfigureFromEnv()
 {
+    // Unset or empty means off, so unsetting the variable and
+    // re-reading the environment stops tracing.
     const char *every = std::getenv("PPM_TRACE_SAMPLE");
-    if (every != nullptr)
-        setTraceSampleEvery(static_cast<std::uint32_t>(
-            std::strtoul(every, nullptr, 10)));
+    setTraceSampleEvery(
+        every == nullptr ? 0
+                         : static_cast<std::uint32_t>(
+                               std::strtoul(every, nullptr, 10)));
     const char *spans_out = std::getenv("PPM_SPANS_OUT");
     if (spans_out != nullptr && spans_out[0] != '\0')
         registerSpansOutAtExit();

@@ -2,13 +2,14 @@
  * @file
  * Distributed trace context: a W3C-traceparent-style (trace_id,
  * parent_span_id, flags) triple that rides protocol-v4 frame headers
- * so one sampled request can be followed client -> ShardedClient ->
- * SimServer -> cache -> RBF batch kernel across processes.
+ * so one sampled request can be followed client -> RemoteOracle
+ * dispatch -> SimServer -> cache -> RBF batch kernel across processes.
  *
  * Sampling is deterministic and RNG-free (zero-perturbation): a
  * process-local relaxed counter samples every Nth trace root
- * (PPM_TRACE_SAMPLE=N; 0 disables tracing entirely). The sampled bit
- * travels with the context, so downstream processes never re-decide.
+ * (PPM_TRACE_SAMPLE=N; 0, empty or unset disables tracing entirely).
+ * The sampled bit travels with the context, so downstream processes
+ * never re-decide.
  *
  * Sampled spans land in the process-wide SpanBuffer stamped with
  * pid/tid and wall-clock (epoch) timestamps — monotonicNs() is
@@ -77,7 +78,10 @@ std::uint32_t traceSampleEvery();
 /** Set the sample period: sample every Nth root, 0 disables. */
 void setTraceSampleEvery(std::uint32_t every);
 
-/** Re-read PPM_TRACE_SAMPLE and PPM_SPANS_OUT. */
+/**
+ * Re-read PPM_TRACE_SAMPLE and PPM_SPANS_OUT. An unset or empty
+ * PPM_TRACE_SAMPLE sets the sample period to 0 (tracing off).
+ */
 void traceConfigureFromEnv();
 
 /** The calling thread's live context (mutable: spans re-parent it). */

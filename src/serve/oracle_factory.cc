@@ -5,24 +5,11 @@
 
 namespace ppm::serve {
 
-namespace {
-
-/** The archive context string; must match SimServer's context key. */
-std::string
-contextFor(const std::string &benchmark, std::uint64_t trace_length,
-           std::uint64_t warmup, core::Metric metric)
-{
-    return benchmark + "|t" + std::to_string(trace_length) + "|w" +
-           std::to_string(warmup) + "|" + core::metricName(metric);
-}
-
-} // namespace
-
 FactoryOptions
 factoryOptionsFromEnv()
 {
     FactoryOptions options;
-    options.sockets = socketsFromEnv();
+    options.remote.sockets = socketsFromEnv();
     if (const char *dir = std::getenv(kArchiveEnvVar))
         options.archive_dir = dir;
     return options;
@@ -39,7 +26,8 @@ archiveFor(const std::string &dir, const std::string &benchmark,
         ResultArchive::fileNameFor(benchmark, trace_length, warmup,
                                    metric);
     return std::make_shared<ResultArchive>(
-        file, contextFor(benchmark, trace_length, warmup, metric));
+        file, ResultArchive::contextFor(benchmark, trace_length, warmup,
+                                        metric));
 }
 
 std::unique_ptr<core::CpiOracle>
@@ -56,17 +44,14 @@ makeOracle(const dspace::DesignSpace &space,
             sim_options.warmup_instructions, metric));
     };
 
-    if (options.sockets.empty()) {
+    if (options.remote.sockets.empty()) {
         auto oracle = std::make_unique<core::SimulatorOracle>(
             space, trace, sim_options, metric);
         attachArchive(*oracle);
         return oracle;
     }
-    RemoteOptions remote = options.remote;
-    remote.sockets = options.sockets;
     auto oracle = std::make_unique<RemoteOracle>(
-        space, benchmark, trace, sim_options, metric,
-        std::move(remote));
+        space, benchmark, trace, sim_options, metric, options.remote);
     attachArchive(oracle->fallbackOracle());
     return oracle;
 }

@@ -36,11 +36,9 @@ inline constexpr const char *kArchiveEnvVar = "PPM_ARCHIVE_DIR";
 /** Explicit factory configuration (the env-free overload). */
 struct FactoryOptions
 {
-    /** Server sockets; empty = local simulation. */
-    std::vector<std::string> sockets;
     /** ResultArchive directory; empty = no persistence. */
     std::string archive_dir;
-    /** Tuning for the remote path (sockets field is overwritten). */
+    /** The remote path; remote.sockets empty = local simulation. */
     RemoteOptions remote;
 };
 
@@ -57,8 +55,8 @@ std::shared_ptr<ResultArchive> archiveFor(
     core::Metric metric);
 
 /**
- * Build an oracle per @p options: a RemoteOracle when sockets are
- * configured, else a SimulatorOracle; either way with a ResultArchive
+ * Build an oracle per @p options: a RemoteOracle when remote.sockets
+ * are configured, else a SimulatorOracle; either way with a ResultArchive
  * attached (to the fallback, for the remote case) when archive_dir is
  * set. @p benchmark must name the profile @p trace was generated
  * from; @p trace must outlive the oracle.

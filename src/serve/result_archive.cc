@@ -326,4 +326,22 @@ ResultArchive::fileNameFor(const std::string &benchmark,
            ".ppma";
 }
 
+std::string
+ResultArchive::contextFor(const std::string &benchmark,
+                          std::uint64_t trace_length,
+                          std::uint64_t warmup, core::Metric metric)
+{
+    return simContextFor(benchmark, trace_length, warmup) + "|" +
+           core::metricName(metric);
+}
+
+std::string
+ResultArchive::simContextFor(const std::string &benchmark,
+                             std::uint64_t trace_length,
+                             std::uint64_t warmup)
+{
+    return benchmark + "|t" + std::to_string(trace_length) + "|w" +
+           std::to_string(warmup);
+}
+
 } // namespace ppm::serve

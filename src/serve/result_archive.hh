@@ -91,6 +91,26 @@ class ResultArchive final : public core::ResultStore
                                    std::uint64_t warmup,
                                    core::Metric metric);
 
+    /**
+     * Canonical context key of one oracle context, stamped into every
+     * archive header and checked when an archive is opened or tailed,
+     * e.g. "mcf|t100000|w15000|CPI". Existing archives stay readable
+     * only while this string is unchanged.
+     */
+    static std::string contextFor(const std::string &benchmark,
+                                  std::uint64_t trace_length,
+                                  std::uint64_t warmup,
+                                  core::Metric metric);
+
+    /**
+     * The simulation context, contextFor() without the metric, e.g.
+     * "mcf|t100000|w15000": oracles sharing it run identical
+     * simulations and differ only in the metric they report.
+     */
+    static std::string simContextFor(const std::string &benchmark,
+                                     std::uint64_t trace_length,
+                                     std::uint64_t warmup);
+
   private:
     void openAndRecover();
 

@@ -27,21 +27,8 @@ namespace {
 std::string
 contextKey(const EvalRequest &req)
 {
-    return req.benchmark + "|t" + std::to_string(req.trace_length) +
-           "|w" + std::to_string(req.warmup) + "|" +
-           core::metricName(req.metric);
-}
-
-/**
- * Simulation context key: the design-space config without the metric.
- * Oracles sharing it run identical simulations, so they share one
- * cache context id and populate each other's metric entries.
- */
-std::string
-simContextKey(const EvalRequest &req)
-{
-    return req.benchmark + "|t" + std::to_string(req.trace_length) +
-           "|w" + std::to_string(req.warmup);
+    return ResultArchive::contextFor(req.benchmark, req.trace_length,
+                                     req.warmup, req.metric);
 }
 
 } // namespace
@@ -144,10 +131,16 @@ std::int64_t
 SimServer::contextIdFor(const std::string &sim_key)
 {
     std::lock_guard<std::mutex> lock(backends_mutex_);
-    const auto [it, inserted] = sim_context_ids_.try_emplace(
-        sim_key, static_cast<std::int64_t>(sim_context_ids_.size()));
-    (void)inserted;
-    return it->second;
+    return contextIdLocked(sim_key);
+}
+
+std::int64_t
+SimServer::contextIdLocked(const std::string &sim_key)
+{
+    return sim_context_ids_
+        .try_emplace(sim_key,
+                     static_cast<std::int64_t>(sim_context_ids_.size()))
+        .first->second;
 }
 
 SimServer::Backend &
@@ -174,11 +167,10 @@ SimServer::backendFor(const EvalRequest &req)
     // All oracles memoize through the server's shared table; oracles
     // differing only in Metric share a context id, so one simulation
     // answers all three metrics of its simulation context.
-    const auto [ctx_it, ctx_inserted] = sim_context_ids_.try_emplace(
-        simContextKey(req),
-        static_cast<std::int64_t>(sim_context_ids_.size()));
-    (void)ctx_inserted;
-    backend->oracle->attachSharedCache(cache_, ctx_it->second);
+    const std::int64_t context_id = contextIdLocked(
+        ResultArchive::simContextFor(req.benchmark, req.trace_length,
+                                     req.warmup));
+    backend->oracle->attachSharedCache(cache_, context_id);
     if (!options_.archive_dir.empty()) {
         const std::string file =
             options_.archive_dir + "/" +
@@ -188,7 +180,7 @@ SimServer::backendFor(const EvalRequest &req)
         // Sibling-metric entries for this context are published dirty
         // by whichever oracle simulates; evicting them spills here.
         cache_->registerSpillStore(
-            cache::contextWord(ctx_it->second,
+            cache::contextWord(context_id,
                                core::metricIndex(req.metric)),
             archive);
         backend->oracle->attachStore(std::move(archive));
@@ -267,10 +259,8 @@ SimServer::handlePredict(const Frame &frame)
         // against ground truth already in the shared cache; the
         // context word is exactly what an EvalRequest for the
         // snapshot's simulation context would memoize under.
-        const std::string sim_key =
-            model->benchmark + "|t" +
-            std::to_string(model->trace_length) + "|w" +
-            std::to_string(model->warmup);
+        const std::string sim_key = ResultArchive::simContextFor(
+            model->benchmark, model->trace_length, model->warmup);
         drift_.observeBatch(
             *cache_,
             cache::contextWord(contextIdFor(sim_key),

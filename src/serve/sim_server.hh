@@ -9,10 +9,12 @@
  * fans its batch across the process-wide thread pool).
  *
  * Clients shard batches across one or more servers (one ppm_serve
- * process per socket) with RemoteOracle; results are bit-identical to
- * local evaluation because the cycle-level simulator is deterministic
- * in (trace, config, options) and traces are regenerated from the
- * benchmark profile on the server side.
+ * process per socket) with RemoteOracle, whose constructor picks the
+ * request kind: EVAL batches are simulated here, PREDICT batches are
+ * answered from the hosted model (below). EVAL results are
+ * bit-identical to local evaluation because the cycle-level simulator
+ * is deterministic in (trace, config, options) and traces are
+ * regenerated from the benchmark profile on the server side.
  *
  * With ServerOptions::archive_dir set, every oracle persists its
  * results through a ResultArchive, so simulations survive server
@@ -184,6 +186,8 @@ class SimServer
     std::vector<std::uint8_t> handleTrace(const Frame &frame);
     /** Cache context id of a simulation context key (allocating). */
     std::int64_t contextIdFor(const std::string &sim_key);
+    /** contextIdFor() with backends_mutex_ already held. */
+    std::int64_t contextIdLocked(const std::string &sim_key);
 
     ServerOptions options_;
     dspace::DesignSpace space_;

@@ -3,8 +3,9 @@
  * Transport abstraction of the simulation service: one endpoint
  * grammar covering Unix-domain sockets and TCP, and listen/connect
  * entry points that dispatch to the right socket family. Everything
- * above this layer (frame I/O, SimServer, RemoteOracle, the tools) is
- * transport-agnostic: an endpoint string is either
+ * above this layer (frame I/O, SimServer, the RemoteOracle client of
+ * both EVAL and PREDICT requests, the tools) is transport-agnostic:
+ * an endpoint string is either
  *
  *     /path/to/server.sock        Unix-domain socket path
  *     host:port                   TCP (port may be 0 to let the

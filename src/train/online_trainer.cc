@@ -14,6 +14,7 @@
 
 #include "obs/event_log.hh"
 #include "obs/trace_span.hh"
+#include "serve/result_archive.hh"
 #include "serve/wire_codec.hh"
 #include "util/crc32.hh"
 
@@ -120,10 +121,9 @@ OnlineTrainer::OnlineTrainer(dspace::DesignSpace space,
                              OnlineTrainerOptions options)
     : space_(std::move(space)), options_(std::move(options))
 {
-    context_ = options_.benchmark + "|t" +
-               std::to_string(options_.trace_length) + "|w" +
-               std::to_string(options_.warmup) + "|" +
-               core::metricName(options_.metric);
+    context_ = serve::ResultArchive::contextFor(
+        options_.benchmark, options_.trace_length, options_.warmup,
+        options_.metric);
     loadState();
     folds_ = points_.size();
     if (points_.size() >= options_.min_train_points) {

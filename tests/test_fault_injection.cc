@@ -32,11 +32,11 @@
 #include "dspace/paper_space.hh"
 #include "linreg/linear_model.hh"
 #include "math/rng.hh"
+#include "obs/metrics.hh"
 #include "rbf/network.hh"
 #include "sampling/sample_gen.hh"
 #include "serve/fault_injector.hh"
 #include "serve/model_snapshot.hh"
-#include "serve/predict_oracle.hh"
 #include "serve/remote_oracle.hh"
 #include "serve/sim_server.hh"
 #include "serve/socket_io.hh"
@@ -116,10 +116,12 @@ TEST(FaultInjector, DecisionsArePureInSeedAndIndex)
         EXPECT_EQ(da.target, db.target) << "index " << i;
         if (da.kind != serve::FaultKind::None)
             ++faults;
-        if (da.kind == serve::FaultKind::Truncate)
+        if (da.kind == serve::FaultKind::Truncate) {
             EXPECT_LT(da.target, 512u);
-        if (da.kind == serve::FaultKind::BitFlip)
+        }
+        if (da.kind == serve::FaultKind::BitFlip) {
             EXPECT_LT(da.target, 512u * 8);
+        }
     }
     // ~80% fault probability over 1000 draws: faults certainly occur,
     // and so do clean frames.
@@ -433,7 +435,7 @@ TEST(FaultChaosE2E, KitchenSinkOverTcp)
 // --- chaos over the prediction plane ----------------------------------
 
 /**
- * PREDICT rides the same ShardedClient as EvalRequest, so the whole
+ * PREDICT rides the same RemoteOracle transport as EVAL, so the whole
  * chaos matrix applies unchanged: under any fault pattern the batch
  * must complete with predictions bit-identical to evaluating the
  * snapshot in-process — remote answers and local-fallback answers go
@@ -500,7 +502,7 @@ runPredictChaos(const std::string &spec, const std::string &endpoint,
     server.start();
 
     InjectorGuard guard(spec);
-    serve::PredictOracle oracle(
+    serve::RemoteOracle oracle(
         s.snap, chaosRemote({server.endpointSpec()}));
     const std::vector<double> got = oracle.evaluateAll(s.batch);
     serve::FaultInjector::install(nullptr); // quiesce before stop()
@@ -557,6 +559,67 @@ TEST(PredictChaosE2E, KitchenSinkOverTcp)
         "seed=27;drop=0.1;delay=0.1;delay_ms=5;stall=0.05;"
         "stall_ms=800;truncate=0.1;bitflip=0.1;reset=0.1",
         "127.0.0.1:0", false);
+}
+
+// --- one oracle, two request kinds ------------------------------------
+
+/** A registry counter's value; 0 when obs is compiled out. */
+std::uint64_t
+counterValue(const char *name)
+{
+#ifndef PPM_OBS_DISABLED
+    return obs::Registry::instance().counter(name).value();
+#else
+    (void)name;
+    return 0;
+#endif
+}
+
+TEST(RemoteOracleKinds, DeadEndpointFallsBackUnderEachKindsOwnCounters)
+{
+    // No server listens here: every chunk exhausts its attempts, the
+    // endpoint latches dead, and each kind answers locally. The
+    // benchmark's failed-op accounting reads these two counters, so
+    // each kind must move its own and only its own.
+    const std::string dead = uniqueSocket("nobody");
+    Scenario &s = scenario();
+    PredictScenario &p = predictScenario();
+    const std::uint64_t eval_fallback =
+        counterValue("remote.fallback_points");
+    const std::uint64_t predict_fallback =
+        counterValue("predict.fallback_points");
+
+    serve::RemoteOracle eval(s.space, "mcf", s.trace, simOptions(),
+                             core::Metric::Cpi, chaosRemote({dead}));
+    EXPECT_EQ(eval.evaluateAll(s.batch), s.reference);
+    EXPECT_EQ(eval.remotePoints(), 0u);
+    EXPECT_EQ(eval.fallbackPoints(), s.batch.size());
+#ifndef PPM_OBS_DISABLED
+    EXPECT_EQ(counterValue("remote.fallback_points") - eval_fallback,
+              s.batch.size());
+    EXPECT_EQ(counterValue("predict.fallback_points"), predict_fallback);
+#endif
+    // EVAL counts simulations: a repeated batch is memoized.
+    EXPECT_EQ(eval.evaluations(), s.batch.size());
+    (void)eval.evaluateAll(s.batch);
+    EXPECT_EQ(eval.evaluations(), s.batch.size());
+
+    serve::RemoteOracle predict(p.snap, chaosRemote({dead}));
+    EXPECT_EQ(predict.evaluateAll(p.batch), p.reference);
+    EXPECT_EQ(predict.remotePoints(), 0u);
+    EXPECT_EQ(predict.fallbackPoints(), p.batch.size());
+#ifndef PPM_OBS_DISABLED
+    EXPECT_EQ(counterValue("predict.fallback_points") - predict_fallback,
+              p.batch.size());
+    EXPECT_EQ(counterValue("remote.fallback_points") - eval_fallback,
+              2 * s.batch.size());
+#endif
+    // PREDICT counts every point it answered, repeats included.
+    EXPECT_EQ(predict.evaluations(), p.batch.size());
+    (void)predict.evaluateAll(p.batch);
+    EXPECT_EQ(predict.evaluations(), 2 * p.batch.size());
+    EXPECT_EQ(predict.serverVersion(), 0u);
+    EXPECT_THROW(predict.fallbackOracle(), std::logic_error);
 }
 
 TEST(FaultChaosE2E, ServerSigkilledMidBatchOverTcp)

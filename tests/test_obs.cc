@@ -689,11 +689,25 @@ setTraceSampleEnv(const char *every)
     reconfigureFromEnv();
 }
 
+TEST(ObsTraceEnv, UnsetOrEmptySampleVariableTurnsTracingOff)
+{
+    setTraceSampleEnv("4");
+    EXPECT_EQ(traceSampleEvery(), 4u);
+    setTraceSampleEnv(nullptr);
+    EXPECT_EQ(traceSampleEvery(), 0u);
+    EXPECT_FALSE(tracingEnabled());
+
+    setTraceSampleEnv("4");
+    setTraceSampleEnv("");
+    EXPECT_EQ(traceSampleEvery(), 0u);
+    setTraceSampleEnv(nullptr);
+}
+
 TEST(ObsZeroPerturbation, LoggingAndTracingChangeNoResultBit)
 {
     // Baseline: observability sinks disabled.
     unsetenv("PPM_LOG");
-    setTraceSampleEnv("0");
+    setTraceSampleEnv(nullptr);
     SpanBuffer::instance().clear();
     const core::AdaptiveResult off = runPipeline();
 
@@ -708,10 +722,9 @@ TEST(ObsZeroPerturbation, LoggingAndTracingChangeNoResultBit)
     // Sinks off again; dump the spans the hot run buffered.
     unsetenv("PPM_LOG");
     unsetenv("PPM_LOG_LEVEL");
-    setTraceSampleEnv("0");
+    setTraceSampleEnv(nullptr);
     const bool dumped = SpanBuffer::instance().writeJsonl(spans_path);
     SpanBuffer::instance().clear();
-    setTraceSampleEnv(nullptr);
 
     expectBitIdentical(off, on);
 

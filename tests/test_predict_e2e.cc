@@ -32,8 +32,8 @@
 #include "math/rng.hh"
 #include "rbf/network.hh"
 #include "serve/model_snapshot.hh"
-#include "serve/predict_oracle.hh"
 #include "serve/protocol.hh"
+#include "serve/remote_oracle.hh"
 #include "serve/sim_server.hh"
 #include "serve/socket_io.hh"
 #include "serve/transport.hh"
@@ -178,7 +178,7 @@ TEST(PredictE2E, OneShardBitIdenticalToLocalSnapshot)
     server.start();
     EXPECT_EQ(server.modelVersion(), 1u);
 
-    serve::PredictOracle oracle(snap, fastRemote({sock}));
+    serve::RemoteOracle oracle(snap, fastRemote({sock}));
     expectBitIdentical(oracle.evaluateAll(batch), want);
     EXPECT_EQ(oracle.remotePoints(), batch.size());
     EXPECT_EQ(oracle.fallbackPoints(), 0u);
@@ -209,7 +209,7 @@ TEST(PredictE2E, FourShardsBitIdenticalToLocalSnapshot)
         servers.back()->start();
     }
 
-    serve::PredictOracle oracle(snap, fastRemote(socks));
+    serve::RemoteOracle oracle(snap, fastRemote(socks));
     expectBitIdentical(oracle.evaluateAll(batch), want);
     EXPECT_EQ(oracle.remotePoints(), batch.size());
     EXPECT_EQ(oracle.fallbackPoints(), 0u);
@@ -231,8 +231,8 @@ TEST(PredictE2E, LinearBaselineServedRemotely)
     serve::SimServer server(predictServer(sock, path));
     server.start();
 
-    serve::PredictOracle oracle(snap, fastRemote({sock}),
-                                serve::ModelKind::Linear);
+    serve::RemoteOracle oracle(snap, fastRemote({sock}),
+                               serve::ModelKind::Linear);
     expectBitIdentical(oracle.evaluateAll(batch), want);
     EXPECT_EQ(oracle.remotePoints(), batch.size());
 
@@ -253,7 +253,7 @@ TEST(PredictE2E, UnreachableServerFallsBackToLocalSnapshot)
         fastRemote({uniqueSocket("nobody-listens")});
     opts.connect_timeout_ms = 100;
 
-    serve::PredictOracle oracle(snap, opts);
+    serve::RemoteOracle oracle(snap, opts);
     expectBitIdentical(oracle.evaluateAll(batch),
                        serve::predictWithSnapshot(snap, batch));
     EXPECT_EQ(oracle.remotePoints(), 0u);
@@ -265,7 +265,7 @@ TEST(PredictE2E, NoSocketsMeansPureLocalPrediction)
 {
     const serve::ModelSnapshot snap = buildSnapshot(1, 100);
     const auto batch = queryBatch(7);
-    serve::PredictOracle oracle(snap);
+    serve::RemoteOracle oracle(snap);
     expectBitIdentical(oracle.evaluateAll(batch),
                        serve::predictWithSnapshot(snap, batch));
     EXPECT_EQ(oracle.fallbackPoints(), batch.size());
@@ -671,7 +671,7 @@ TEST(PredictE2E, SpawnedServerBinaryServesPredictions)
     }
     ASSERT_TRUE(up) << "ppm_serve never came up on " << sock;
 
-    serve::PredictOracle oracle(snap, fastRemote({sock}));
+    serve::RemoteOracle oracle(snap, fastRemote({sock}));
     expectBitIdentical(oracle.evaluateAll(batch), want);
     EXPECT_EQ(oracle.remotePoints(), batch.size());
     EXPECT_EQ(oracle.serverVersion(), 4u);

@@ -140,6 +140,30 @@ corpus()
     ack.message = "stale version 2 (active 3)";
     frames.push_back(serve::encodeModelPushAck(ack));
 
+    serve::TraceRequest treq;
+    treq.nonce = 0x7EA5;
+    treq.drain = true;
+    frames.push_back(serve::encodeTraceRequest(treq));
+
+    serve::TraceDump dump;
+    dump.pid = 4242;
+    dump.dropped = 1;
+    dump.endpoint = "127.0.0.1:7001";
+    serve::TraceSpan span;
+    span.trace_hi = 0x0123456789ABCDEFULL;
+    span.trace_lo = 2;
+    span.span_id = 9;
+    span.parent_span_id = 8;
+    span.name = "serve.request";
+    span.start_unix_ns = 1'700'000'000'000'000'000ULL;
+    span.dur_ns = 1500;
+    span.tid = 3;
+    dump.spans.push_back(span);
+    span.span_id = 10;
+    span.name = "rbf.batch";
+    dump.spans.push_back(span);
+    frames.push_back(serve::encodeTraceResponse(dump));
+
     return frames;
 }
 
@@ -189,6 +213,12 @@ dispatchParse(const serve::Frame &frame)
         break;
       case serve::MsgType::ModelPushAck:
         (void)serve::parseModelPushAck(frame.payload);
+        break;
+      case serve::MsgType::TraceRequest:
+        (void)serve::parseTraceRequest(frame.payload);
+        break;
+      case serve::MsgType::TraceResponse:
+        (void)serve::parseTraceResponse(frame.payload);
         break;
     }
 }

@@ -203,6 +203,31 @@ TEST_F(ResultArchiveTest, FileNameForIsContextUnique)
               "a_b_c_t1_w2_EPI.ppma");
 }
 
+TEST_F(ResultArchiveTest, ContextKeyIsPinned)
+{
+    // Every archive on disk carries this string in its header; a
+    // changed spelling would make all of them fail the context check.
+    EXPECT_EQ(ResultArchive::contextFor("mcf", 100000, 15000,
+                                        core::Metric::Cpi),
+              "mcf|t100000|w15000|CPI");
+    EXPECT_EQ(ResultArchive::contextFor("twolf", 1, 0,
+                                        core::Metric::EnergyDelaySquared),
+              "twolf|t1|w0|ED2P");
+    // The simulation context is the metric-less prefix.
+    EXPECT_EQ(ResultArchive::simContextFor("mcf", 100000, 15000),
+              "mcf|t100000|w15000");
+
+    // An archive written under the pinned string opens under the key.
+    {
+        ResultArchive archive(archivePath(), "mcf|t100000|w15000|CPI");
+        archive.append({1}, 1.0);
+    }
+    ResultArchive reopened(
+        archivePath(),
+        ResultArchive::contextFor("mcf", 100000, 15000, core::Metric::Cpi));
+    EXPECT_EQ(reopened.recordsLoaded(), 1u);
+}
+
 TEST_F(ResultArchiveTest, OracleWarmStartSkipsAllSimulations)
 {
     auto space = dspace::paperTrainSpace();

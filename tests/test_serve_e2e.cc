@@ -648,8 +648,7 @@ TEST(ServeE2E, FactoryHonoursExplicitOptions)
     server.start();
 
     serve::FactoryOptions fopts;
-    fopts.sockets = {sock};
-    fopts.remote = fastRemote({});
+    fopts.remote = fastRemote({sock});
     auto remote = serve::makeOracle(s.space, "mcf", s.trace,
                                     simOptions(), core::Metric::Cpi,
                                     fopts);

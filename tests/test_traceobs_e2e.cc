@@ -34,8 +34,8 @@
 #include "obs/trace_context.hh"
 #include "rbf/network.hh"
 #include "serve/model_snapshot.hh"
-#include "serve/predict_oracle.hh"
 #include "serve/protocol.hh"
+#include "serve/remote_oracle.hh"
 #include "serve/sim_server.hh"
 #include "serve/socket_io.hh"
 #include "serve/transport.hh"
@@ -227,7 +227,7 @@ TEST(TraceObsE2E, OneSampledBatchYieldsOneMergedCrossProcessTrace)
     obs::setTraceSampleEvery(1);
     obs::SpanBuffer::instance().clear();
     const auto batch = queryBatch(16);
-    serve::PredictOracle oracle(snap, fastRemote({ep1, ep2}));
+    serve::RemoteOracle oracle(snap, fastRemote({ep1, ep2}));
     oracle.evaluateAll(batch);
     obs::setTraceSampleEvery(0);
     ASSERT_EQ(oracle.remotePoints(), batch.size());
@@ -419,8 +419,8 @@ TEST(TraceObsE2E, UnsampledTrafficRecordsNoSpansServerSide)
 
     obs::setTraceSampleEvery(0);
     obs::SpanBuffer::instance().clear();
-    serve::PredictOracle oracle(snap,
-                                fastRemote({opts.socket_path}));
+    serve::RemoteOracle oracle(snap,
+                               fastRemote({opts.socket_path}));
     oracle.evaluateAll(queryBatch(8));
     EXPECT_TRUE(obs::SpanBuffer::instance().snapshot().empty());
 

@@ -149,10 +149,8 @@ main(int argc, char **argv)
         if (!archive_path.empty()) {
             // Archive keys are the memo-cache keys: each coordinate
             // stored as llround(value * 1e6); invert to raw points.
-            const std::string context =
-                benchmark + "|t" + std::to_string(trace_length) +
-                "|w" + std::to_string(warmup) + "|" +
-                core::metricName(metric);
+            const std::string context = serve::ResultArchive::contextFor(
+                benchmark, trace_length, warmup, metric);
             serve::ResultArchive archive(archive_path, context);
             archive.load([&](const core::ResultStore::Key &key,
                              double value) {
